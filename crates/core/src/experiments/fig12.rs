@@ -7,8 +7,9 @@ use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
 use crate::report::fmt_ratio;
 
-use super::common::{fm_workload, run_cpu, run_medal, WorkloadScale};
-use super::ladder::{geomean, render_ladders, run_ladder, LadderResult};
+use super::common::{fm_workload, WorkloadScale};
+use super::ladder::{geomean, render_ladders, LadderResult};
+use super::memo;
 
 /// The figure's data: one ladder per (variant, genome).
 #[derive(Debug, Clone)]
@@ -63,10 +64,10 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
     let mut s = Vec::new();
     for &g in genomes {
         let w = fm_workload(g, scale);
-        let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
+        let cpu = memo::cpu(&w);
+        let medal = memo::medal(&w, false, pes);
         let medal_energy = medal_energy_model.breakdown(&medal);
-        d.push(run_ladder(
+        d.push(memo::ladder(
             BeaconVariant::D,
             g.label(),
             &w,
@@ -75,7 +76,7 @@ pub fn run_genomes(scale: &WorkloadScale, pes: usize, genomes: &[GenomeId]) -> F
             &medal_energy,
             pes,
         ));
-        s.push(run_ladder(
+        s.push(memo::ladder(
             BeaconVariant::S,
             g.label(),
             &w,

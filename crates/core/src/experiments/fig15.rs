@@ -5,8 +5,9 @@ use crate::config::BeaconVariant;
 use crate::energy::{EnergyModel, PeHardware};
 use crate::report::fmt_ratio;
 
-use super::common::{kmer_workload, run_cpu, run_nest, WorkloadScale};
-use super::ladder::{render_ladders, run_ladder, LadderResult};
+use super::common::{kmer_workload, WorkloadScale};
+use super::ladder::{render_ladders, LadderResult};
+use super::memo;
 
 /// The figure's data (one dataset: human-like genome at 50x).
 #[derive(Debug, Clone)]
@@ -37,11 +38,11 @@ impl Fig15 {
 /// Runs the figure.
 pub fn run(scale: &WorkloadScale, pes: usize) -> Fig15 {
     let w = kmer_workload(scale);
-    let cpu = run_cpu(&w);
-    let nest = run_nest(&w, scale.cbf_bytes, false, pes);
+    let cpu = memo::cpu(&w);
+    let nest = memo::nest(&w, scale.cbf_bytes, false, pes);
     let nest_energy = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes).breakdown(&nest);
 
-    let d = run_ladder(
+    let d = memo::ladder(
         BeaconVariant::D,
         "human 50x",
         &w,
@@ -50,7 +51,7 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig15 {
         &nest_energy,
         pes,
     );
-    let s = run_ladder(
+    let s = memo::ladder(
         BeaconVariant::S,
         "human 50x",
         &w,

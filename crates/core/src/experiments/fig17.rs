@@ -8,10 +8,9 @@ use beacon_genomics::genome::GenomeId;
 use crate::config::BeaconVariant;
 use crate::report::{fmt_pct, Table};
 
-use super::common::{
-    fm_workload, hash_workload, kmer_workload, run_cpu, run_medal, run_nest, WorkloadScale,
-};
-use super::ladder::{run_ladder, LadderResult};
+use super::common::{fm_workload, hash_workload, kmer_workload, WorkloadScale};
+use super::ladder::LadderResult;
+use super::memo;
 use crate::energy::{EnergyModel, PeHardware};
 
 /// Average energy shares at one ladder step.
@@ -110,37 +109,38 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig17 {
     let medal_model = EnergyModel::ddr_baseline(PeHardware::MEDAL, 4 * pes);
     let nest_model = EnergyModel::ddr_baseline(PeHardware::NEST, 4 * pes);
 
-    let mut d = Vec::new();
-    let mut s = Vec::new();
+    // Each app's input, CPU run and hardware baseline, shared by both
+    // variants' ladders.
+    let fm = fm_workload(GenomeId::Pt, scale);
+    let hash = hash_workload(GenomeId::Pt, scale);
+    let kmer = kmer_workload(scale);
+    let apps = [
+        ("Pt", &fm, memo::medal(&fm, false, pes), &medal_model),
+        ("Pt", &hash, memo::medal(&hash, false, pes), &medal_model),
+        (
+            "human",
+            &kmer,
+            memo::nest(&kmer, scale.cbf_bytes, false, pes),
+            &nest_model,
+        ),
+    ]
+    .map(|(dataset, w, baseline, model)| {
+        let energy = model.breakdown(&baseline);
+        (dataset, w, memo::cpu(w), baseline, energy)
+    });
 
-    for variant in [BeaconVariant::D, BeaconVariant::S] {
-        let out = match variant {
-            BeaconVariant::D => &mut d,
-            BeaconVariant::S => &mut s,
-        };
-        // FM seeding.
-        let w = fm_workload(GenomeId::Pt, scale);
-        let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
-        let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, &medal, &me, pes));
-        // Hash seeding.
-        let w = hash_workload(GenomeId::Pt, scale);
-        let cpu = run_cpu(&w);
-        let medal = run_medal(&w, false, pes);
-        let me = medal_model.breakdown(&medal);
-        out.push(run_ladder(variant, "Pt", &w, &cpu, &medal, &me, pes));
-        // k-mer counting.
-        let w = kmer_workload(scale);
-        let cpu = run_cpu(&w);
-        let nest = run_nest(&w, scale.cbf_bytes, false, pes);
-        let ne = nest_model.breakdown(&nest);
-        out.push(run_ladder(variant, "human", &w, &cpu, &nest, &ne, pes));
-    }
-
+    let half = |variant| {
+        let ladders: Vec<LadderResult> = apps
+            .iter()
+            .map(|(dataset, w, cpu, baseline, energy)| {
+                memo::ladder(variant, dataset, w, cpu, baseline, energy, pes)
+            })
+            .collect();
+        average_steps(&ladders, variant)
+    };
     Fig17 {
-        d: average_steps(&d, BeaconVariant::D),
-        s: average_steps(&s, BeaconVariant::S),
+        d: half(BeaconVariant::D),
+        s: half(BeaconVariant::S),
     }
 }
 

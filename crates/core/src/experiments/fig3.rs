@@ -9,9 +9,8 @@ use beacon_genomics::genome::GenomeId;
 use crate::energy::{EnergyModel, PeHardware};
 use crate::report::{fmt_ratio, Table};
 
-use super::common::{
-    fm_workload, hash_workload, kmer_workload, run_medal, run_nest, WorkloadScale,
-};
+use super::common::{fm_workload, hash_workload, kmer_workload, WorkloadScale};
+use super::memo;
 
 /// One bar of Fig. 3.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,8 +81,8 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
 
     for g in GenomeId::FIVE {
         let w = fm_workload(g, scale);
-        let real = run_medal(&w, false, pes);
-        let ideal = run_medal(&w, true, pes);
+        let real = memo::medal(&w, false, pes);
+        let ideal = memo::medal(&w, true, pes);
         bars.push(Fig3Bar {
             label: format!("MEDAL FM-seeding {}", g.label()),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,
@@ -93,8 +92,8 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
     }
     for g in GenomeId::FIVE {
         let w = hash_workload(g, scale);
-        let real = run_medal(&w, false, pes);
-        let ideal = run_medal(&w, true, pes);
+        let real = memo::medal(&w, false, pes);
+        let ideal = memo::medal(&w, true, pes);
         bars.push(Fig3Bar {
             label: format!("MEDAL hash-seeding {}", g.label()),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,
@@ -104,8 +103,8 @@ pub fn run(scale: &WorkloadScale, pes: usize) -> Fig3 {
     }
     {
         let w = kmer_workload(scale);
-        let real = run_nest(&w, scale.cbf_bytes, false, pes);
-        let ideal = run_nest(&w, scale.cbf_bytes, true, pes);
+        let real = memo::nest(&w, scale.cbf_bytes, false, pes);
+        let ideal = memo::nest(&w, scale.cbf_bytes, true, pes);
         bars.push(Fig3Bar {
             label: "NEST k-mer counting (human 50x)".into(),
             perf_improvement: real.cycles as f64 / ideal.cycles as f64,

@@ -10,6 +10,7 @@
 //! | [`fig15`] | Fig. 15 — k-mer counting ladder |
 //! | [`fig16`] | Fig. 16 — DNA pre-alignment |
 //! | [`fig17`] | Fig. 17 — energy breakdown across the ladder |
+//! | [`memo`] | content-keyed memo of the baselines and ladders figures share |
 //! | [`faults`] | RAS fault sweep (not a paper figure; `--faults`) |
 //! | [`report`] | journey-attribution bottleneck report (`--report`) |
 
@@ -23,6 +24,7 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig3;
 pub mod ladder;
+pub mod memo;
 pub mod report;
 pub mod tables;
 

@@ -6,7 +6,9 @@
 //! a co-run set from the admitted backlog, and one `BeaconSystem` is
 //! built from the merged layouts and run to drain. The service clock is
 //! the sum of round cycles, so queue wait and service time are in the
-//! same (deterministic) unit as the underlying simulation.
+//! same (deterministic) unit as the underlying simulation. Jobs that
+//! read the same input (same kind and `JobKind::input_genome`) share
+//! one build of it for the whole run.
 //!
 //! Determinism contract: the admission/schedule decision streams are
 //! pure functions of the spec, and every round's `RunResult` digest
@@ -14,10 +16,14 @@
 //! and skip modes — so the whole [`ServiceReport::digest`] is too
 //! (enforced by `tests/service.rs`).
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
 use beacon_core::allocator::PoolAllocator;
 use beacon_core::experiments::common::AppWorkload;
 use beacon_core::mmf::{build_layout, reservation_plan, LayoutSpec};
 use beacon_core::system::BeaconSystem;
+use beacon_genomics::genome::GenomeId;
 use beacon_sim::engine::take_stall_events;
 use beacon_sim::journey::{self, JourneyRecorder};
 use beacon_sim::rng::SimRng;
@@ -25,12 +31,13 @@ use beacon_sim::rng::SimRng;
 use crate::admission::{AdmissionController, Verdict};
 use crate::sched::{FairScheduler, ReadyJob};
 use crate::slo::{JobOutcome, JobStatus, RoundRecord, ServiceReport};
-use crate::spec::{JobSpec, ServiceSpec};
+use crate::spec::{JobKind, JobSpec, ServiceSpec};
 
 /// One job moving through the service.
 struct JobState {
     spec: JobSpec,
-    workload: AppWorkload,
+    /// The job's input, shared with every job that reads the same one.
+    workload: Rc<AppWorkload>,
     /// Service clock when the job arrived.
     arrival_clock: u64,
     admit_round: u64,
@@ -67,6 +74,8 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
     let mut clock = 0u64;
     let mut stall_total = 0u64;
     let mut salt_rng = SimRng::from_seed(spec.seed).child(0x510);
+    // Each distinct input is built once, on its first arrival.
+    let mut inputs: BTreeMap<(JobKind, GenomeId), Rc<AppWorkload>> = BTreeMap::new();
 
     let mut round = 0u64;
     while arrivals.peek().is_some() || !waiting.is_empty() || !ready.is_empty() {
@@ -79,7 +88,10 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceReport {
         // Arrivals: jobs whose round has come enter the admission queue.
         while arrivals.peek().is_some_and(|j| j.arrival_round <= round) {
             let js = arrivals.next().expect("peeked");
-            let workload = js.kind.workload(js.genome, &spec.scale);
+            let workload = inputs
+                .entry((js.kind, js.kind.input_genome(js.genome)))
+                .or_insert_with(|| Rc::new(js.kind.workload(js.genome, &spec.scale)))
+                .clone();
             waiting.push(JobState {
                 spec: js,
                 workload,

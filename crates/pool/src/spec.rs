@@ -76,6 +76,16 @@ impl JobKind {
         }
     }
 
+    /// The genome this kind's workload is built from: k-mer counting
+    /// always counts over the human-like genome (paper §VI-A), whatever
+    /// the job's genome field says.
+    pub(crate) fn input_genome(&self, genome: GenomeId) -> GenomeId {
+        match self {
+            JobKind::KmerCounting => GenomeId::Human,
+            _ => genome,
+        }
+    }
+
     /// Builds this kind's workload (traces + layout specs).
     pub fn workload(&self, genome: GenomeId, scale: &WorkloadScale) -> AppWorkload {
         match self {

@@ -182,3 +182,26 @@ fn service_json_report_is_schema_shaped() {
     let schema = beacon_sim::json::JsonValue::parse(&schema_text).expect("schema parses");
     beacon_sim::json::check_schema(&doc, &schema).expect("report conforms to schema");
 }
+
+/// The report digest of the checked-in demo spec, as
+/// `figures --service specs/demo_two_tenant.json` prints it. Pinned
+/// before the service shared one built input among the jobs that read
+/// it, so it proves that sharing changes no job and no decision.
+const DEMO_REPORT_DIGEST: u64 = 0x2e0c_ccae_8c21_4a94;
+
+#[test]
+fn demo_spec_report_digest_is_pinned() {
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../specs/demo_two_tenant.json"
+    ))
+    .expect("checked-in demo spec");
+    let spec = ServiceSpec::parse_json(&text).expect("demo spec parses");
+    let report = run_service(&spec);
+    assert_eq!(
+        report.digest(),
+        DEMO_REPORT_DIGEST,
+        "demo report digest {:#018x}",
+        report.digest()
+    );
+}
