@@ -356,6 +356,12 @@ impl TaskEngine {
         self.tasks.len()
     }
 
+    /// Accesses of the steps no PE has started yet.
+    pub fn queued_accesses(&self) -> u64 {
+        let steps = self.tasks.iter().flat_map(|t| &t.trace.steps[t.cursor..]);
+        steps.map(|s| s.accesses.len() as u64).sum()
+    }
+
     /// True when every submitted task has retired.
     pub fn all_done(&self) -> bool {
         self.completed == self.tasks.len()

@@ -4,7 +4,7 @@
 //! cargo run -p beacon-bench --bin figures --release -- [--all]
 //!     [--table1] [--table2] [--fig3] [--fig12] [--fig13] [--fig14]
 //!     [--fig15] [--fig16] [--fig17] [--faults <seed>] [--report]
-//!     [--report-json <out.json>] [--quick] [--threads <n>] [--no-skip]
+//!     [--report-json <out.json>] [--quick] [--no-skip]
 //!     [--trace <out.json>] [--metrics <out.jsonl|out.csv>] [--progress]
 //!     [--snapshot-every <cycles>] [--snapshot-out <prefix>]
 //!     [--resume <file.snap>] [--service <spec.json>]
@@ -20,9 +20,6 @@
 //! latency breakdown, component utilization, most-contended queues) for
 //! the five genomes; `--report-json <path>` additionally writes the
 //! machine-readable report (and implies `--report`).
-//! `--threads <n>` runs every BEACON system on the deterministic
-//! epoch-parallel engine with `n` worker threads — results are
-//! bit-identical to the default sequential engine, just faster.
 //! `--no-skip` disables event-horizon fast-forwarding and ticks every
 //! cycle — an escape hatch for debugging the skipping machinery itself
 //! (results are bit-identical either way, `--no-skip` is just slower).
@@ -36,14 +33,13 @@
 //! from `--snapshot-out`, default `beacon`), then prints the final
 //! digest. `--resume <file>` reconstructs the system from a snapshot
 //! and runs it to completion — the printed `final digest:` line is
-//! bit-identical to the uninterrupted run's, regardless of `--threads`
-//! or `--no-skip`.
+//! bit-identical to the uninterrupted run's, regardless of `--no-skip`.
 //! `--service <spec.json>` runs the multi-tenant pool service on a
 //! replayable spec file (see `specs/demo_two_tenant.json` and
 //! `schemas/service.schema.json`): seeded job arrivals, quota-aware
 //! admission, weighted fair-share scheduling, and a per-tenant SLO
 //! report. The output's `report digest:` and per-job `digest:` lines
-//! are greppable and bit-identical across `--threads`/`--no-skip`;
+//! are greppable and bit-identical with and without `--no-skip`;
 //! `--service-json <path>` additionally writes the schema-checked
 //! machine-readable report.
 
@@ -87,7 +83,6 @@ struct Selection {
     faults: Option<u64>,
     report: bool,
     report_json: Option<String>,
-    threads: usize,
     no_skip: bool,
     trace: Option<String>,
     metrics: Option<String>,
@@ -126,7 +121,6 @@ fn usage() -> String {
      \x20 --quick            small bench scale (smoke test)\n\
      \x20 --snapshot-out <prefix>  snapshot file prefix (default: beacon)\n\
      \x20 --service-json <path>  write the service SLO report as JSON too\n\
-     \x20 --threads <n>      deterministic parallel engine with n workers\n\
      \x20 --no-skip          tick every cycle (disable event-horizon fast-forwarding)\n\
      \x20 --trace <path>     write a Chrome-trace-event JSON of the runs\n\
      \x20 --metrics <path>   write gauge time-series (.csv -> CSV, else JSONL)\n\
@@ -152,7 +146,6 @@ impl Selection {
             faults: None,
             report: false,
             report_json: None,
-            threads: 1,
             no_skip: false,
             trace: None,
             metrics: None,
@@ -227,14 +220,6 @@ impl Selection {
                             .map_err(|_| format!("--faults needs an integer seed, got {seed}"))?,
                     );
                     any = true;
-                }
-                "--threads" => {
-                    i += 1;
-                    let n = args.get(i).ok_or("--threads needs a worker count")?;
-                    sel.threads =
-                        n.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            format!("--threads needs a positive integer, got {n}")
-                        })?;
                 }
                 "--no-skip" => sel.no_skip = true,
                 "--progress" => sel.progress = true,
@@ -321,7 +306,6 @@ fn main() {
         figures_scale()
     };
     let pes = if sel.quick { BENCH_PES } else { FIGURE_PES };
-    beacon_core::parallel::set_threads(sel.threads);
     beacon_sim::engine::set_skip(!sel.no_skip);
 
     if sel.trace.is_some() {
@@ -344,8 +328,8 @@ fn main() {
     }
 
     println!(
-        "BEACON figure harness — scale: Pt={} bases, {} reads, {} PEs/module, {} sim thread(s)\n",
-        scale.pt_genome_len, scale.reads, pes, sel.threads
+        "BEACON figure harness — scale: Pt={} bases, {} reads, {} PEs/module\n",
+        scale.pt_genome_len, scale.reads, pes
     );
 
     let t0 = Instant::now();
@@ -476,7 +460,7 @@ fn checkpoint_section(scale: &WorkloadScale, pes: usize, every: u64, prefix: &st
 }
 
 /// Reconstructs a [`BeaconSystem`] from a snapshot file and runs it to
-/// completion (on the engine selected by `--threads`/`--no-skip`),
+/// completion (on the engine `BeaconSystem::run` picks, under `--no-skip`),
 /// printing the same greppable `final digest:` line as the checkpoint
 /// section — the two must match bit-identically.
 fn resume_section(path: &str) -> String {
@@ -507,8 +491,8 @@ fn resume_section(path: &str) -> String {
 
 /// Runs the multi-tenant pool service on a replayable spec file and
 /// renders the per-job digest lines and per-tenant SLO table. The
-/// whole-report `report digest:` line is bit-identical across
-/// `--threads` and `--no-skip` (enforced by `tests/service.rs`). When
+/// whole-report `report digest:` line is bit-identical with and without
+/// `--no-skip` (enforced by `tests/service.rs`). When
 /// `json_out` is set, the machine-readable report (shape:
 /// `schemas/service.schema.json`) is written there too.
 fn service_section(path: &str, json_out: Option<&str>) -> String {
@@ -565,7 +549,6 @@ mod tests {
         let sel = Selection::parse(&args(&["--fig12", "--quick"])).unwrap();
         assert!(sel.fig12 && sel.quick);
         assert!(!sel.table1 && !sel.fig3 && !sel.fig17);
-        assert_eq!(sel.threads, 1);
         assert!(!sel.no_skip);
     }
 
@@ -573,15 +556,6 @@ mod tests {
     fn no_skip_flag_parses() {
         let sel = Selection::parse(&args(&["--fig12", "--no-skip"])).unwrap();
         assert!(sel.no_skip);
-    }
-
-    #[test]
-    fn threads_flag_takes_a_count() {
-        let sel = Selection::parse(&args(&["--fig12", "--threads", "4"])).unwrap();
-        assert_eq!(sel.threads, 4);
-        assert!(Selection::parse(&args(&["--threads"])).is_err());
-        assert!(Selection::parse(&args(&["--threads", "0"])).is_err());
-        assert!(Selection::parse(&args(&["--threads", "lots"])).is_err());
     }
 
     #[test]
@@ -668,7 +642,6 @@ mod tests {
             "--report",
             "--report-json",
             "--quick",
-            "--threads",
             "--no-skip",
             "--trace",
             "--metrics",

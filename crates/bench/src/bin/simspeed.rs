@@ -71,8 +71,9 @@
 //! bit-identically — a single-job service round is configured exactly
 //! like the direct run — and the wall-time ratio is the service
 //! overhead, reported per row as `svc ovh` and gated in aggregate by
-//! `--max-service-overhead`. Like the snapshot gate, the service cost
-//! is dominated by fixed per-round work (spec expansion, workload
+//! `--max-service-overhead`; it runs on the engine `BeaconSystem::run`
+//! picks, whatever `--threads` says. Like the snapshot gate, the service
+//! cost is dominated by fixed per-round work (spec expansion, workload
 //! build, reservation replay), so tiny `--quick` cells need a looser
 //! ceiling than bench scale.
 
@@ -120,7 +121,7 @@ fn usage() -> String {
      [--max-service-overhead <x>]\n\
      \n\
      \x20 --quick            tiny test scale (CI smoke)\n\
-     \x20 --threads <n>      measure on the parallel engine with n workers\n\
+     \x20 --threads <n>      n parallel-engine workers (default 1: sequential)\n\
      \x20 --out <path>       JSON output path (default BENCH_SIM.json)\n\
      \x20 --min-speedup <x>  exit non-zero when any cell speeds up less than x\n\
      \x20 --min-dense-speedup <x>  exit non-zero when the dense fast path\n\
@@ -212,7 +213,7 @@ fn measure(cell: &Cell, skip: bool, dense: bool, attr: bool, threads: usize) -> 
     }
     let t = Instant::now();
     let r = if threads <= 1 {
-        sys.run()
+        sys.run_sequential()
     } else {
         sys.run_parallel(threads)
     };
@@ -263,7 +264,7 @@ fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
     let bytes = sys.snapshot();
     let mut resumed = BeaconSystem::resume(&bytes).expect("own snapshot must resume");
     let r = if threads <= 1 {
-        resumed.run()
+        resumed.run_sequential()
     } else {
         resumed.run_parallel(threads)
     };
@@ -281,10 +282,9 @@ fn measure_snap(cell: &Cell, threads: usize, mid: u64) -> Sample {
 /// simulation round configured exactly like the plain skip-on leg —
 /// the per-job digest must match it bit-identically, so the ratio of
 /// wall times is pure service overhead.
-fn measure_service(cell: &Cell, threads: usize) -> Sample {
+fn measure_service(cell: &Cell) -> Sample {
     beacon_sim::engine::set_skip(true);
     beacon_sim::engine::set_dense_fastpath(true);
-    beacon_core::parallel::set_threads(threads);
     let mut spec = ServiceSpec::demo(42);
     spec.scale = cell.scale;
     spec.variant = cell.variant;
@@ -307,7 +307,6 @@ fn measure_service(cell: &Cell, threads: usize) -> Sample {
     let t = Instant::now();
     let report = run_service(&spec);
     let wall_s = t.elapsed().as_secs_f64();
-    beacon_core::parallel::set_threads(1);
     assert_eq!(report.jobs.len(), 1);
     assert_eq!(
         report.jobs[0].status,
@@ -373,7 +372,7 @@ fn measure_legs(
         "{}/{}: checkpoint/restore changed the run digest",
         cell.kernel, cell.genome
     );
-    let warm_svc = measure_service(cell, threads);
+    let warm_svc = measure_service(cell);
     assert_eq!(
         warm_svc.digest, warm_on.digest,
         "{}/{}: the service frontend changed the run digest",
@@ -412,7 +411,7 @@ fn measure_legs(
             "snapshot",
             snap,
         );
-        svc = keep_best(measure_service(cell, threads), &warm_svc, "service", svc);
+        svc = keep_best(measure_service(cell), &warm_svc, "service", svc);
     }
     (
         off.expect("at least one timed run"),

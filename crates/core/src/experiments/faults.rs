@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use beacon_accel::result::DegradedRun;
+use beacon_accel::result::{DegradedRun, RunResult};
 use beacon_genomics::genome::GenomeId;
 
 use crate::config::{BeaconConfig, BeaconVariant, FaultsConfig, Optimizations};
@@ -50,7 +50,7 @@ pub struct FaultSweep {
     pub degraded_cycles: u64,
 }
 
-fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> BeaconSystem {
+fn run_one(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> RunResult {
     let variant = BeaconVariant::D;
     let mut cfg =
         BeaconConfig::paper(variant, w.app).with_opts(Optimizations::full(variant, w.app));
@@ -60,21 +60,11 @@ fn build(w: &AppWorkload, pes: usize, faults: FaultsConfig) -> BeaconSystem {
     let layout = build_layout(&cfg, &w.layout);
     let mut sys = BeaconSystem::new(cfg, layout);
     sys.submit_round_robin(w.traces.iter().cloned());
-    sys
+    sys.run()
 }
 
 /// Runs the sweep and the DIMM-loss experiment.
 pub fn run(scale: &WorkloadScale, pes: usize, seed: u64) -> FaultSweep {
-    let threads = crate::parallel::threads();
-    let run_one = |w: &AppWorkload, faults: FaultsConfig| {
-        let mut sys = build(w, pes, faults);
-        if threads > 1 {
-            sys.run_parallel(threads)
-        } else {
-            sys.run()
-        }
-    };
-
     // Error-rate sweep: 0 (armed but quiet) up through rates far past
     // anything a healthy CXL link would show, to make the retry cost
     // visible at bench scale.
@@ -87,7 +77,7 @@ pub fn run(scale: &WorkloadScale, pes: usize, seed: u64) -> FaultSweep {
         } else {
             FaultsConfig::noisy(seed, rate)
         };
-        let r = run_one(&w, faults);
+        let r = run_one(&w, pes, faults);
         if rate == 0.0 {
             baseline = r.cycles;
         }
@@ -101,8 +91,9 @@ pub fn run(scale: &WorkloadScale, pes: usize, seed: u64) -> FaultSweep {
 
     // Whole-DIMM failure a third of the way into the run.
     let w = prealign_workload(GenomeId::Pg, scale);
-    let healthy = run_one(&w, FaultsConfig::quiet(seed));
-    let degraded = run_one(&w, FaultsConfig::dimm_loss(seed, 0, 2, healthy.cycles / 3));
+    let healthy = run_one(&w, pes, FaultsConfig::quiet(seed));
+    let kill_at = healthy.cycles / 3;
+    let degraded = run_one(&w, pes, FaultsConfig::dimm_loss(seed, 0, 2, kill_at));
     FaultSweep {
         seed,
         sweep,

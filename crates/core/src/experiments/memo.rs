@@ -29,9 +29,7 @@ use beacon_accel::cpu_model::CpuRun;
 use beacon_accel::medal::RegionSpec;
 use beacon_accel::result::RunResult;
 use beacon_genomics::trace::{Access, Step, TaskTrace};
-use beacon_sim::journey;
 use beacon_sim::stats::Fnv64;
-use beacon_sim::trace::{self, TraceLevel};
 
 use crate::config::BeaconVariant;
 use crate::energy::EnergyBreakdown;
@@ -107,15 +105,10 @@ thread_local! {
     static MEMO: RefCell<Lru> = RefCell::new(Lru::default());
 }
 
-/// True when a recorder on this thread would observe a run.
-fn recording() -> bool {
-    obs::active() || journey::active() || trace::enabled(TraceLevel::Task)
-}
-
 /// The memoised `compute()`, keyed on `key()`; both run only when
 /// needed.
 fn cached(key: impl FnOnce() -> Key, compute: impl FnOnce() -> Product) -> Product {
-    if recording() {
+    if obs::recording() {
         return compute();
     }
     let key = key();

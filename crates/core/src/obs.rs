@@ -15,6 +15,7 @@ use beacon_sim::component::{Probe, Tick};
 use beacon_sim::cycle::Cycle;
 use beacon_sim::engine::{Engine, EngineHooks, Progress, RunOutcome, StallReport};
 use beacon_sim::metrics::{MetricsSample, MetricsSeries};
+use beacon_sim::{journey, trace};
 
 /// Default stall-detection window in cycles (~0.125 s of DDR4-1600 bus
 /// time): long enough that refresh storms and deep backlogs never trip
@@ -76,6 +77,12 @@ pub fn take() -> Option<MetricsSeries> {
 /// True when an [`ObsConfig`] is installed on this thread.
 pub fn active() -> bool {
     STATE.with(|s| s.borrow().is_some())
+}
+
+/// True when a recorder on this thread would observe a run: an
+/// [`ObsConfig`], journey attribution or a task-level trace.
+pub(crate) fn recording() -> bool {
+    active() || journey::active() || trace::enabled(trace::TraceLevel::Task)
 }
 
 /// The installed configuration and the index the next driven run will

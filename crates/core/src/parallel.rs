@@ -14,12 +14,11 @@
 //! and merges it with [`canonical_merge`] into the order the sequential
 //! `pump_host` would have observed — by arrival cycle, then source
 //! switch index, then per-source FIFO sequence — making the run
-//! **bit-identical** to [`BeaconSystem::run`] for any thread count and
-//! any OS schedule. The conformance suite in `tests/differential.rs`
+//! **bit-identical** to [`BeaconSystem::run_sequential`] for any thread
+//! count and any OS schedule. The conformance suite in `tests/differential.rs`
 //! holds that contract down to the digest of every counter and the
 //! canonicalised trace stream.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use beacon_sim::journey::{self, Phase};
@@ -36,25 +35,24 @@ use crate::config::BeaconConfig;
 use crate::obs;
 use crate::system::{BeaconSystem, GaugeAcc, SwitchNode, SysCtx};
 
-thread_local! {
-    /// Ambient worker-thread count consulted by [`BeaconSystem::run`].
-    static THREADS: Cell<usize> = const { Cell::new(1) };
-}
+/// Queued accesses per shard from which the epoch-parallel engine beats
+/// the sequential one on 2 cores: below it the worker spawn and the
+/// per-epoch barriers cost more than the split saves. DESIGN.md §9 holds
+/// the measured crossover table.
+pub(crate) const PARALLEL_MIN_ACCESSES_PER_SHARD: u64 = 16_384;
 
-/// Sets the ambient worker-thread count for subsequent
-/// [`BeaconSystem::run`] calls on this thread. `1` (the default)
-/// selects the sequential reference engine.
-///
-/// # Panics
-/// Panics when `n` is zero.
-pub fn set_threads(n: usize) {
-    assert!(n > 0, "need at least one thread");
-    THREADS.with(|t| t.set(n));
-}
-
-/// The ambient worker-thread count installed by [`set_threads`].
-pub fn threads() -> usize {
-    THREADS.with(|t| t.get())
+/// Workers for a run of `cfg` with `work` accesses left to issue on a
+/// `cores`-core host; `1` selects the sequential engine. A run goes
+/// parallel, one worker per switch up to one per core, only when the
+/// host hop gives a lookahead, no recorder has it `observed` (observed
+/// runs keep exact-cycle metrics and raw trace order) and its work per
+/// shard reaches [`PARALLEL_MIN_ACCESSES_PER_SHARD`].
+pub(crate) fn engine_threads(cores: usize, cfg: &BeaconConfig, observed: bool, work: u64) -> usize {
+    let worth_it = work >= PARALLEL_MIN_ACCESSES_PER_SHARD * u64::from(cfg.switches);
+    if observed || !worth_it || cfg.host_latency == 0 {
+        return 1;
+    }
+    cores.min(cfg.switches as usize)
 }
 
 /// One host-bound bundle drained from a shard's uplink: `(arrival cycle
@@ -286,9 +284,10 @@ impl<'a> EpochHub<PoolShard<'a>> for HostHub {
 
 impl BeaconSystem {
     /// Runs until the workload drains on `threads` worker threads and
-    /// returns measurements **bit-identical** to [`BeaconSystem::run`]:
-    /// same `RunResult` digest, same per-component stats, same
-    /// canonicalised trace stream, for any thread count.
+    /// returns measurements **bit-identical** to
+    /// [`BeaconSystem::run_sequential`]: same `RunResult` digest, same
+    /// per-component stats, same canonicalised trace stream, for any
+    /// thread count.
     ///
     /// Metrics sampling and progress reporting fire at epoch barriers
     /// (every `host_latency` cycles) rather than exact cycles, and the
@@ -449,7 +448,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
         let (traces, bytes) = fm_workload(16);
-        let reference = build(BeaconVariant::D, &traces, bytes).run();
+        let reference = build(BeaconVariant::D, &traces, bytes).run_sequential();
         for threads in [1, 2, 4] {
             let got = build(BeaconVariant::D, &traces, bytes).run_parallel(threads);
             assert_eq!(
@@ -464,7 +463,7 @@ mod tests {
     #[test]
     fn parallel_matches_on_switch_logic_variant() {
         let (traces, bytes) = fm_workload(12);
-        let reference = build(BeaconVariant::S, &traces, bytes).run();
+        let reference = build(BeaconVariant::S, &traces, bytes).run_sequential();
         let got = build(BeaconVariant::S, &traces, bytes).run_parallel(4);
         assert_eq!(
             got.digest(),
@@ -474,14 +473,114 @@ mod tests {
         );
     }
 
+    /// A two-switch paper configuration (the shape of every figure,
+    /// benchmark and service run) and its work at `per_shard` queued
+    /// accesses per shard.
+    fn shape(
+        variant: BeaconVariant,
+        app: AppKind,
+        pes: usize,
+        per_shard: u64,
+    ) -> (BeaconConfig, u64) {
+        let mut cfg = BeaconConfig::paper(variant, app);
+        cfg.pes_per_module = pes;
+        (cfg, per_shard * u64::from(cfg.switches))
+    }
+
     #[test]
-    fn ambient_threads_route_run() {
+    fn engine_selection_follows_the_crossover_table() {
+        use AppKind::*;
+        use BeaconVariant::{D, S};
+        // Accesses per shard of each shape, measured on its inputs
+        // (DESIGN.md §9); the right column is the worker count on 2 cores.
+        let table = [
+            ("fm-d, figure scale", shape(D, FmSeeding, 128, 106_315), 2),
+            (
+                "kmer-s, figure scale",
+                shape(S, KmerCounting, 128, 56_832),
+                2,
+            ),
+            ("quick sweep FM/Pt", shape(D, FmSeeding, 32, 6_550), 1),
+            ("quick sweep hash/Pt", shape(D, HashSeeding, 32, 1_228), 1),
+            ("quick sweep pre-align", shape(S, PreAlignment, 32, 512), 1),
+            ("quick sweep k-mer", shape(S, KmerCounting, 32, 5_328), 1),
+            ("simspeed FM/Pt", shape(D, FmSeeding, 8, 6_550), 1),
+            ("simspeed pre-align", shape(D, PreAlignment, 8, 512), 1),
+            ("simspeed k-mer", shape(S, KmerCounting, 8, 5_328), 1),
+            ("service FM job", shape(D, FmSeeding, 8, 150), 1),
+            ("service pre-align job", shape(D, PreAlignment, 8, 24), 1),
+            ("service k-mer job", shape(D, KmerCounting, 8, 108), 1),
+        ];
+        for (name, (cfg, queued), want) in table {
+            assert_eq!(engine_threads(2, &cfg, false, queued), want, "{name}");
+        }
+        let at = PARALLEL_MIN_ACCESSES_PER_SHARD;
+        let (cfg, _) = shape(D, FmSeeding, 128, 0);
+        assert_eq!(
+            engine_threads(2, &cfg, false, 2 * at),
+            2,
+            "threshold is inclusive"
+        );
+        assert_eq!(engine_threads(2, &cfg, false, 2 * at - 1), 1);
+    }
+
+    #[test]
+    fn engine_selection_falls_back_to_sequential() {
+        let (fm_d, queued) = shape(BeaconVariant::D, AppKind::FmSeeding, 128, 106_315);
+        assert_eq!(engine_threads(1, &fm_d, false, queued), 1, "one core");
+        let one_switch = BeaconConfig {
+            switches: 1,
+            ..fm_d
+        };
+        assert_eq!(
+            engine_threads(2, &one_switch, false, queued),
+            1,
+            "one switch"
+        );
+        let no_lookahead = BeaconConfig {
+            host_latency: 0,
+            ..fm_d
+        };
+        assert_eq!(
+            engine_threads(2, &no_lookahead, false, queued),
+            1,
+            "no lookahead"
+        );
+        assert_eq!(engine_threads(2, &fm_d, true, queued), 1, "recorded");
+        // One worker per shard, at most one per core.
+        assert_eq!(engine_threads(8, &fm_d, false, queued), 2);
+        let four = BeaconConfig {
+            switches: 4,
+            ..fm_d
+        };
+        assert_eq!(engine_threads(2, &four, false, 2 * queued), 2);
+    }
+
+    #[test]
+    fn any_installed_recorder_counts_as_recording() {
+        use beacon_sim::journey::JourneyRecorder;
+        use beacon_sim::trace::{self, TraceBuffer, TraceLevel};
+        assert!(!obs::recording());
+        obs::install(obs::ObsConfig::default());
+        assert!(obs::recording(), "obs");
+        obs::take();
+        journey::install(JourneyRecorder::new(8, 1));
+        assert!(obs::recording(), "journey attribution");
+        journey::uninstall();
+        trace::install(TraceBuffer::new(TraceLevel::Task, 16));
+        assert!(obs::recording(), "task-level trace");
+        trace::uninstall();
+        assert!(!obs::recording());
+    }
+
+    #[test]
+    fn queued_accesses_count_the_unissued_trace_work() {
         let (traces, bytes) = fm_workload(8);
-        let reference = build(BeaconVariant::D, &traces, bytes).run();
-        set_threads(2);
-        let got = build(BeaconVariant::D, &traces, bytes).run();
-        set_threads(1);
-        assert_eq!(got.digest(), reference.digest());
+        let mut sys = build(BeaconVariant::D, &traces, bytes);
+        let total: usize = traces.iter().map(TaskTrace::access_count).sum();
+        assert_eq!(sys.queued_accesses(), total as u64);
+        sys.run();
+        assert_eq!(sys.queued_accesses(), 0);
     }
 
     #[test]

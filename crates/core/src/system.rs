@@ -595,20 +595,26 @@ impl BeaconSystem {
         }
     }
 
-    /// Runs until the workload drains and returns the measurements.
-    ///
-    /// With an ambient thread count above one (see
-    /// [`crate::parallel::set_threads`]) this routes through the
-    /// bit-identical epoch-parallel engine; the default is the
-    /// sequential reference below.
+    /// Runs until the workload drains and returns the measurements, on
+    /// the engine `parallel::engine_threads` picks: sequential or the
+    /// bit-identical epoch-parallel one (DESIGN.md §9).
     ///
     /// # Panics
     /// Panics when the model deadlocks (cycle limit).
     pub fn run(&mut self) -> RunResult {
-        let threads = crate::parallel::threads();
-        if threads > 1 {
-            return self.run_parallel(threads);
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+        let queued = self.queued_accesses();
+        match crate::parallel::engine_threads(cores, &self.cfg, crate::obs::recording(), queued) {
+            1 => self.run_sequential(),
+            n => self.run_parallel(n),
         }
+    }
+
+    /// [`BeaconSystem::run`] on the sequential reference engine, whatever
+    /// the run's size.
+    pub fn run_sequential(&mut self) -> RunResult {
         self.refresh_journey_gates();
         let mut engine = Engine::starting_at(self.clock);
         let outcome = crate::obs::drive(&mut engine, self);
@@ -642,6 +648,22 @@ impl BeaconSystem {
     /// checkpoint taken now).
     pub fn clock(&self) -> Cycle {
         self.clock
+    }
+
+    /// Accesses the pool's compute engines have yet to issue.
+    pub(crate) fn queued_accesses(&self) -> u64 {
+        let mut n = 0;
+        for sw in &self.switches {
+            if let Some(e) = &sw.logic.engine {
+                n += e.queued_accesses();
+            }
+            for d in &sw.dimms {
+                if let DimmSlot::Cxlg(m) = d {
+                    n += m.engine.queued_accesses();
+                }
+            }
+        }
+        n
     }
 
     /// Re-arms the per-switch sampling gates from the installed

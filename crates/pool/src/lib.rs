@@ -19,8 +19,8 @@
 //!
 //! Determinism contract: same seed + same spec ⇒ bit-identical per-job
 //! digests and identical admission/schedule decision streams across
-//! thread counts (`BEACON_THREADS`) and engine skip modes — enforced by
-//! `tests/service.rs`.
+//! engine skip modes, whichever engine each round's run picks —
+//! enforced by `tests/service.rs`.
 //!
 //! ```
 //! use beacon_pool::prelude::*;

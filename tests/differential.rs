@@ -1,5 +1,5 @@
 //! Differential conformance suite: `run_parallel(t)` must be
-//! **bit-identical** to the sequential `run()` for every thread count.
+//! **bit-identical** to `run_sequential()` for every thread count.
 //!
 //! Each cell of the matrix (switch count × kernel × genome × threads)
 //! runs the same workload through the sequential reference engine and
@@ -53,7 +53,7 @@ fn build_system(
 /// Runs one matrix cell: sequential golden run, then every thread
 /// count, asserting digest equality with a structured diff on failure.
 fn assert_cell(variant: BeaconVariant, w: &AppWorkload, switches: u32, refresh: bool) {
-    let golden = build_system(variant, w, switches, refresh).run();
+    let golden = build_system(variant, w, switches, refresh).run_sequential();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for threads in thread_matrix() {
         let got = build_system(variant, w, switches, refresh).run_parallel(threads);
@@ -121,7 +121,7 @@ fn parallel_speedup_on_multi_switch_pool() {
         let mut sys = build_system(BeaconVariant::D, &w, 4, true);
         let t = std::time::Instant::now();
         let r = if threads == 1 {
-            sys.run()
+            sys.run_sequential()
         } else {
             sys.run_parallel(threads)
         };
@@ -160,10 +160,10 @@ fn fast_forwarding_matches_per_cycle_ticking() {
     ] {
         let w = fm_workload(genome, &scale);
         beacon_sim::engine::set_skip(false);
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run();
+        let golden = build_system(BeaconVariant::D, &w, 2, true).run_sequential();
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
         beacon_sim::engine::set_skip(true);
-        let fast = build_system(BeaconVariant::D, &w, 2, true).run();
+        let fast = build_system(BeaconVariant::D, &w, 2, true).run_sequential();
         assert_eq!(
             fast.digest(),
             golden.digest(),
@@ -209,7 +209,7 @@ fn attribution_leaves_digests_bit_identical() {
     for skip in [true, false] {
         beacon_sim::engine::set_skip(skip);
         journey::uninstall();
-        let golden = build_system(BeaconVariant::D, &w, 2, true).run();
+        let golden = build_system(BeaconVariant::D, &w, 2, true).run_sequential();
         assert!(golden.tasks > 0, "cell must do work to be meaningful");
         assert!(
             golden.attribution.is_none(),
@@ -217,7 +217,7 @@ fn attribution_leaves_digests_bit_identical() {
         );
 
         journey::install(JourneyRecorder::new(1, salt));
-        let seq = build_system(BeaconVariant::D, &w, 2, true).run();
+        let seq = build_system(BeaconVariant::D, &w, 2, true).run_sequential();
         assert_eq!(
             seq.digest(),
             golden.digest(),
@@ -276,7 +276,7 @@ fn trace_streams_identical_with_and_without_fast_forwarding() {
     let run_traced = |skip: bool| -> Vec<(String, TraceEvent)> {
         beacon_sim::engine::set_skip(skip);
         trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
-        build_system(BeaconVariant::D, &w, 2, true).run();
+        build_system(BeaconVariant::D, &w, 2, true).run_sequential();
         let events = trace::uninstall()
             .expect("sink installed")
             .canonical_events();
@@ -314,7 +314,7 @@ fn trace_streams_merge_canonically() {
         trace::install(TraceBuffer::new(TraceLevel::Flit, CAPACITY));
         let mut sys = build_system(BeaconVariant::D, &w, 2, true);
         if threads == 1 {
-            sys.run();
+            sys.run_sequential();
         } else {
             sys.run_parallel(threads);
         }

@@ -76,7 +76,7 @@ fn quiet_schedule_reproduces_golden_digests() {
     let mut got = String::new();
     for genome in GenomeId::FIVE {
         let w = fm_workload(genome, &scale);
-        let r = build_system(&w, Some(FaultsConfig::quiet(7))).run();
+        let r = build_system(&w, Some(FaultsConfig::quiet(7))).run_sequential();
         let d = r.degraded.expect("armed run must carry a RAS report");
         assert!(d.is_clean(), "{genome:?}: quiet run reported faults: {d:?}");
         got.push_str(&format!("{genome:?}:{:#018x}\n", r.digest()));
@@ -110,7 +110,7 @@ fn noisy_schedule_is_deterministic_across_engines() {
     let faults = FaultsConfig::noisy(fault_seed(), 400.0);
 
     beacon_sim::engine::set_skip(false);
-    let golden = build_system(&w, Some(faults)).run();
+    let golden = build_system(&w, Some(faults)).run_sequential();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     let d = golden.degraded.expect("armed run must carry a RAS report");
     assert!(
@@ -120,7 +120,7 @@ fn noisy_schedule_is_deterministic_across_engines() {
     assert!(d.retry_cycles > 0, "CRC retries must cost link cycles");
 
     beacon_sim::engine::set_skip(true);
-    let fast = build_system(&w, Some(faults)).run();
+    let fast = build_system(&w, Some(faults)).run_sequential();
     assert_eq!(
         fast.digest(),
         golden.digest(),
@@ -154,8 +154,8 @@ fn noisy_schedules_differ_across_seeds() {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
     let seed = fault_seed();
-    let a = build_system(&w, Some(FaultsConfig::noisy(seed, 400.0))).run();
-    let b = build_system(&w, Some(FaultsConfig::noisy(seed ^ 1, 400.0))).run();
+    let a = build_system(&w, Some(FaultsConfig::noisy(seed, 400.0))).run_sequential();
+    let b = build_system(&w, Some(FaultsConfig::noisy(seed ^ 1, 400.0))).run_sequential();
     assert_ne!(
         a.digest(),
         b.digest(),
@@ -178,12 +178,12 @@ fn dimm_loss_degrades_gracefully() {
     // Calibrate the death to land mid-flight: a third of the way into
     // the healthy run, whatever the workload scale.
     let seed = fault_seed();
-    let healthy = build_system(&w, Some(FaultsConfig::quiet(seed))).run();
+    let healthy = build_system(&w, Some(FaultsConfig::quiet(seed))).run_sequential();
     assert!(healthy.tasks > 0);
     // Paper-D topology: slots 0–1 are CXLG, 2–3 unmodified.
     let faults = FaultsConfig::dimm_loss(seed, 0, 2, healthy.cycles / 3);
 
-    let golden = build_system(&w, Some(faults)).run();
+    let golden = build_system(&w, Some(faults)).run_sequential();
     assert!(golden.tasks > 0, "degraded run must still finish its work");
     let d = golden.degraded.expect("armed run must carry a RAS report");
     assert_eq!(d.failed_dimms, 1, "the scheduled DIMM death must execute");
@@ -234,7 +234,7 @@ fn late_scheduled_death_never_executes() {
         &w,
         Some(FaultsConfig::dimm_loss(fault_seed(), 0, 2, u64::MAX / 2)),
     )
-    .run();
+    .run_sequential();
     let d = r.degraded.expect("armed run must carry a RAS report");
     assert_eq!(d.failed_dimms, 0, "death past the drain must not fire");
     assert_eq!(d.lost_capacity_bytes, 0);

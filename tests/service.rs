@@ -2,11 +2,12 @@
 //! conventions to the pool-as-a-service frontend):
 //!
 //! 1. A single-tenant, single-job service run is **digest-identical**
-//!    to the equivalent direct `BeaconSystem::run` — the service adds
-//!    queueing and reporting, never simulation behaviour.
+//!    to the equivalent direct `BeaconSystem::run_sequential` — the
+//!    service adds queueing and reporting, never simulation behaviour.
 //! 2. The whole `ServiceReport` digest (admission decisions, schedule
-//!    composition, per-job digests) is identical across thread counts
-//!    (`BEACON_THREADS`) and engine skip modes.
+//!    composition, per-job digests) is identical across engine skip
+//!    modes. That the parallel engine equals the sequential one is
+//!    `tests/differential.rs`'s gate.
 //! 3. Shifting fair-share weights demonstrably shifts completion order
 //!    on a contended two-tenant spec (the QoS acceptance criterion).
 
@@ -14,16 +15,6 @@ use beacon_core::mmf::build_layout;
 use beacon_core::system::BeaconSystem;
 use beacon_genomics::genome::GenomeId;
 use beacon_pool::prelude::*;
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("BEACON_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("BEACON_THREADS must be integers"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
 
 /// A one-tenant, one-job spec for the differential gate.
 fn single_job_spec(kind: JobKind, genome: GenomeId) -> ServiceSpec {
@@ -87,7 +78,7 @@ fn single_job_service_run_matches_direct_run() {
         let w = kind.workload(genome, &spec.scale);
         let mut sys = BeaconSystem::new(cfg, build_layout(&cfg, &w.layout));
         sys.submit_round_robin(w.traces.iter().cloned());
-        let direct = sys.run();
+        let direct = sys.run_sequential();
 
         assert_eq!(
             report.jobs[0].digest,
@@ -100,37 +91,31 @@ fn single_job_service_run_matches_direct_run() {
 }
 
 #[test]
-fn service_digest_is_identical_across_threads_and_skip() {
+fn service_digest_is_identical_across_skip_modes() {
     let spec = contended_spec(3, 1);
     let golden = run_service(&spec);
     assert!(
         golden.jobs.iter().all(|j| j.status == JobStatus::Completed),
         "contended spec must drain"
     );
-    for &threads in &thread_matrix() {
-        for skip in [true, false] {
-            beacon_core::parallel::set_threads(threads);
-            beacon_sim::engine::set_skip(skip);
-            let got = run_service(&spec);
-            beacon_core::parallel::set_threads(1);
-            beacon_sim::engine::set_skip(true);
-            assert_eq!(
-                got.digest(),
-                golden.digest(),
-                "service digest diverged at {threads} threads, skip={skip}"
-            );
-            assert_eq!(
-                got.decisions, golden.decisions,
-                "admission decision stream diverged at {threads} threads, skip={skip}"
-            );
-            let gold_rounds: Vec<_> = golden.rounds.iter().map(|r| &r.jobs).collect();
-            let got_rounds: Vec<_> = got.rounds.iter().map(|r| &r.jobs).collect();
-            assert_eq!(
-                got_rounds, gold_rounds,
-                "schedule composition diverged at {threads} threads, skip={skip}"
-            );
-        }
-    }
+    beacon_sim::engine::set_skip(false);
+    let got = run_service(&spec);
+    beacon_sim::engine::set_skip(true);
+    assert_eq!(
+        got.digest(),
+        golden.digest(),
+        "service digest diverged with skipping off"
+    );
+    assert_eq!(
+        got.decisions, golden.decisions,
+        "admission decision stream diverged with skipping off"
+    );
+    let gold_rounds: Vec<_> = golden.rounds.iter().map(|r| &r.jobs).collect();
+    let got_rounds: Vec<_> = got.rounds.iter().map(|r| &r.jobs).collect();
+    assert_eq!(
+        got_rounds, gold_rounds,
+        "schedule composition diverged with skipping off"
+    );
 }
 
 #[test]

@@ -114,13 +114,13 @@ fn assert_cell_resumes(
     refresh: bool,
     faults: Option<FaultsConfig>,
 ) {
-    let golden = build_system(variant, w, refresh, faults).run();
+    let golden = build_system(variant, w, refresh, faults).run_sequential();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     let bytes = capture_at(variant, w, refresh, faults, golden.cycles / 2);
     for threads in thread_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
         let got = if threads == 1 {
-            resumed.run()
+            resumed.run_sequential()
         } else {
             resumed.run_parallel(threads)
         };
@@ -168,7 +168,7 @@ fn skip_modes_mix_freely_across_the_checkpoint() {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
     beacon_sim::engine::set_skip(false);
-    let golden = build_system(BeaconVariant::D, &w, true, None).run();
+    let golden = build_system(BeaconVariant::D, &w, true, None).run_sequential();
     assert!(golden.tasks > 0, "cell must do work to be meaningful");
     for capture_skip in [false, true] {
         beacon_sim::engine::set_skip(capture_skip);
@@ -176,7 +176,7 @@ fn skip_modes_mix_freely_across_the_checkpoint() {
         for resume_skip in [false, true] {
             beacon_sim::engine::set_skip(resume_skip);
             let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-            let got = resumed.run();
+            let got = resumed.run_sequential();
             assert_eq!(
                 got.digest(),
                 golden.digest(),
@@ -208,9 +208,9 @@ fn fault_schedules_survive_the_checkpoint() {
 fn scheduled_dimm_loss_fires_after_resume() {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
-    let healthy = build_system(BeaconVariant::D, &w, false, None).run();
+    let healthy = build_system(BeaconVariant::D, &w, false, None).run_sequential();
     let faults = FaultsConfig::dimm_loss(fault_seed(), 0, 2, healthy.cycles / 2);
-    let golden = build_system(BeaconVariant::D, &w, false, Some(faults)).run();
+    let golden = build_system(BeaconVariant::D, &w, false, Some(faults)).run_sequential();
     let gd = golden
         .degraded
         .as_ref()
@@ -227,7 +227,7 @@ fn scheduled_dimm_loss_fires_after_resume() {
     for threads in thread_matrix() {
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
         let got = if threads == 1 {
-            resumed.run()
+            resumed.run_sequential()
         } else {
             resumed.run_parallel(threads)
         };
@@ -256,7 +256,7 @@ fn scheduled_dimm_loss_fires_after_resume() {
 fn snapshot_bytes_are_deterministic_and_header_is_stable() {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
-    let golden = build_system(BeaconVariant::D, &w, true, None).run();
+    let golden = build_system(BeaconVariant::D, &w, true, None).run_sequential();
     let at = golden.cycles / 2;
     let a = capture_at(BeaconVariant::D, &w, true, None, at);
     let b = capture_at(BeaconVariant::D, &w, true, None, at);
@@ -293,7 +293,7 @@ fn snapshot_bytes_are_deterministic_and_header_is_stable() {
 fn damaged_snapshots_are_rejected_typed() {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
-    let golden = build_system(BeaconVariant::D, &w, true, None).run();
+    let golden = build_system(BeaconVariant::D, &w, true, None).run_sequential();
     let bytes = capture_at(BeaconVariant::D, &w, true, None, golden.cycles / 2);
     let nl = bytes.iter().position(|&c| c == b'\n').unwrap();
 
@@ -390,7 +390,7 @@ fn pre_cmdring_refactor_snapshot_is_rejected_typed() {
 fn proptest_fixture() -> (AppWorkload, u64, u64) {
     let scale = WorkloadScale::test();
     let w = fm_workload(GenomeId::Pt, &scale);
-    let golden = build_system(BeaconVariant::D, &w, true, None).run();
+    let golden = build_system(BeaconVariant::D, &w, true, None).run_sequential();
     assert!(golden.cycles > 4, "golden run too short for epoch sampling");
     (w, golden.cycles, golden.digest())
 }
@@ -406,7 +406,7 @@ proptest! {
         let at = 1 + frac * (cycles - 2) / 1000;
         let bytes = capture_at(BeaconVariant::D, &w, true, None, at);
         let mut resumed = BeaconSystem::resume(&bytes).expect("snapshot must resume");
-        let got = resumed.run();
+        let got = resumed.run_sequential();
         prop_assert_eq!(
             got.digest(),
             golden_digest,
@@ -428,7 +428,7 @@ proptest! {
         prop_assert!(!drained, "drained before the second epoch");
         let second = mid.snapshot();
         let mut resumed = BeaconSystem::resume(&second).expect("second snapshot must resume");
-        let got = resumed.run();
+        let got = resumed.run_sequential();
         prop_assert_eq!(
             got.digest(),
             golden_digest,
